@@ -185,11 +185,22 @@ func (c *Cache) GetRange(k Key, from, to int64) ([]byte, bool) {
 	return body[from : to+1], true
 }
 
+// Admits reports whether a body of size bytes under k passes the
+// static part of the admission policy: the rendition level cap and the
+// per-shard byte budget (CapacityBytes/Shards). A key it refuses is
+// never stored, however often it is demanded, so a caller that knows
+// the size up front can skip a whole-chunk fill. It reads only the
+// configuration: no doorkeeper count moves and no LRU position changes.
+// Put applies the same test.
+func (c *Cache) Admits(k Key, size int64) bool {
+	return (c.cfg.MaxLevel < 0 || k.Level <= c.cfg.MaxLevel) && size <= c.shardFor(k).cap
+}
+
 // Put inserts k's full body, subject to the admission policy, evicting
 // from the tail of the shard's LRU list until the body fits. It reports
 // whether the body was admitted.
 func (c *Cache) Put(k Key, body []byte) bool {
-	if !c.admitLevel(k) || int64(len(body)) > c.shardFor(k).cap {
+	if !c.Admits(k, int64(len(body))) {
 		return false
 	}
 	s := c.shardFor(k)
@@ -216,11 +227,6 @@ func (c *Cache) Put(k Key, body []byte) bool {
 	s.mu.Unlock()
 	c.noteEvictions(evicted)
 	return true
-}
-
-// admitLevel applies the per-rendition admission cap.
-func (c *Cache) admitLevel(k Key) bool {
-	return c.cfg.MaxLevel < 0 || k.Level <= c.cfg.MaxLevel
 }
 
 // admitSeenLocked applies the doorkeeper: true once the key has been

@@ -88,6 +88,76 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 }
 
+// TestAdmitsAgreesWithPut pins the static admission predicate to Put's
+// decision at the per-shard size boundary and under the level cap.
+func TestAdmitsAgreesWithPut(t *testing.T) {
+	// Four shards of 1024 bytes each: exactly 1024 fits, 1025 never can.
+	c := New(Config{CapacityBytes: 4096, Shards: 4})
+	for _, tc := range []struct {
+		k    Key
+		size int
+		want bool
+	}{
+		{Key{Video: "v", Chunk: 0}, 1024, true},
+		{Key{Video: "v", Chunk: 1}, 1025, false},
+		{Key{Video: "v", Chunk: 2}, 1, true},
+	} {
+		if got := c.Admits(tc.k, int64(tc.size)); got != tc.want {
+			t.Errorf("Admits(%v, %d) = %v, want %v", tc.k, tc.size, got, tc.want)
+		}
+		if got := c.Put(tc.k, body(tc.size, 1)); got != tc.want {
+			t.Errorf("Put(%v, %d bytes) = %v, Admits said %v", tc.k, tc.size, got, tc.want)
+		}
+	}
+
+	capped := New(Config{MaxLevel: 1})
+	for level := 0; level <= 3; level++ {
+		k := Key{Video: "v", Level: level}
+		want := level <= 1
+		if got := capped.Admits(k, 10); got != want {
+			t.Errorf("MaxLevel 1: Admits(level %d) = %v, want %v", level, got, want)
+		}
+		if got := capped.Put(k, body(10, 1)); got != want {
+			t.Errorf("MaxLevel 1: Put(level %d) = %v, Admits said %v", level, got, want)
+		}
+	}
+}
+
+// TestAdmitsIsSideEffectFree: asking must not feed the doorkeeper or
+// refresh recency — only demand (Fetch) and hits may.
+func TestAdmitsIsSideEffectFree(t *testing.T) {
+	door := New(Config{MinSeen: 2, Shards: 1})
+	k := Key{Video: "v", Chunk: 1}
+	for i := 0; i < 5; i++ {
+		if !door.Admits(k, 64) {
+			t.Fatal("admissible key refused")
+		}
+	}
+	if n := len(door.shards[0].seen); n != 0 {
+		t.Fatalf("Admits fed the doorkeeper: %d seen entries", n)
+	}
+	// Still one demand short of admission, as if Admits never ran.
+	door.Fetch(k, func() ([]byte, error) { return body(64, 7), nil })
+	if st := door.Stats(); st.Entries != 0 {
+		t.Fatalf("first demand admitted after Admits calls: %+v", st)
+	}
+
+	// Room for exactly two 256-byte bodies: a is the LRU tail, and an
+	// Admits probe must leave it there for the next Put to evict.
+	lru := New(Config{CapacityBytes: 512, Shards: 1})
+	a, b, c := Key{Video: "v", Chunk: 0}, Key{Video: "v", Chunk: 1}, Key{Video: "v", Chunk: 2}
+	lru.Put(a, body(256, 0))
+	lru.Put(b, body(256, 1))
+	lru.Admits(a, 256)
+	lru.Put(c, body(256, 2))
+	if _, ok := lru.Get(a); ok {
+		t.Error("Admits refreshed the probed key's LRU position")
+	}
+	if _, ok := lru.Get(b); !ok {
+		t.Error("most recent key evicted in place of the LRU tail")
+	}
+}
+
 func TestDoorkeeperMinSeen(t *testing.T) {
 	c := New(Config{MinSeen: 2, Shards: 1})
 	k := Key{Video: "v", Chunk: 1}

@@ -9,12 +9,16 @@ package netmp
 // the client-side scheduler folds into its engage and hedge decisions
 // (see cachehint.go).
 //
-// Misses are filled whole-chunk: an MP-DASH client splits a chunk into
-// disjoint range requests across two paths, and the cache's singleflight
-// collapses all of them (plus every concurrent session's) into a single
-// origin fetch. The fill transfers and verifies real payload bytes from
-// the origin — paying the true origin cost — and then reconstructs the
-// deterministic body for the store.
+// Misses of chunks the store can admit are filled whole-chunk: an
+// MP-DASH client splits a chunk into disjoint range requests across two
+// paths, and the cache's singleflight collapses all of them (plus every
+// concurrent session's) into a single origin fetch. The fill transfers
+// and verifies real payload bytes from the origin — paying the true
+// origin cost — and then reconstructs the deterministic body for the
+// store. Ranges of chunks the store will never admit (above its level
+// cap, or larger than a shard) are passed through instead: only the
+// requested range is pulled from origin, because a whole-chunk fill
+// would be discarded by the store and repeated for every range.
 
 import (
 	"bufio"
@@ -82,6 +86,7 @@ type EdgeServer struct {
 	mu          sync.Mutex
 	served      int64
 	originBytes int64
+	bypassBytes int64
 	fillErrs    int64
 
 	connMu sync.Mutex
@@ -163,7 +168,16 @@ func (e *EdgeServer) OriginBytes() int64 {
 	return e.originBytes
 }
 
-// FillErrors returns how many origin fills failed outright.
+// BypassBytes returns the verified payload bytes of ranges passed
+// through to origin around the store (chunks it will never admit).
+func (e *EdgeServer) BypassBytes() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.bypassBytes
+}
+
+// FillErrors returns how many origin pulls (whole-chunk fills and
+// pass-through ranges) failed outright.
 func (e *EdgeServer) FillErrors() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -188,8 +202,11 @@ func (e *EdgeServer) Instrument(t *obs.Telemetry) {
 	r.CounterFunc("cache_edge_origin_bytes_total",
 		"Payload bytes pulled from origins by this edge's misses.",
 		lbl, func() float64 { return float64(e.OriginBytes()) })
+	r.CounterFunc("cache_edge_bypass_bytes_total",
+		"Payload bytes of ranges passed through to origin for chunks the store will never admit.",
+		lbl, func() float64 { return float64(e.BypassBytes()) })
 	r.CounterFunc("cache_edge_fill_errors_total",
-		"Origin fills that failed outright (clients got a 503).",
+		"Origin fills and pass-through ranges that failed outright (clients got a 503).",
 		lbl, func() float64 { return float64(e.FillErrors()) })
 }
 
@@ -273,21 +290,23 @@ func (e *EdgeServer) serve(conn net.Conn) {
 			w.Flush()
 			continue
 		}
-		body, hit, err := e.chunkBody(index, level)
+		k := cache.Key{Video: e.name, Level: level, Chunk: index}
+		if !e.store.Admits(k, size) {
+			if err := e.proxyRange(w, index, level, from, to, size); err != nil {
+				return
+			}
+			continue
+		}
+		body, hit, err := e.chunkBody(k)
 		if err != nil {
-			// An exhausted origin set is the edge's overload face:
-			// transient for the client's supervisor, breaker fuel for a
-			// (future) multi-edge set.
-			fmt.Fprintf(w, "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\n\r\n")
-			w.Flush()
+			writeFillFailure(w)
 			continue
 		}
 		state := "miss"
 		if hit {
 			state = "hit"
 		}
-		n := to - from + 1
-		fmt.Fprintf(w, "HTTP/1.1 206 Partial Content\r\nContent-Length: %d\r\nContent-Range: bytes %d-%d/%d\r\nX-MPDash-Cache: %s\r\n\r\n", n, from, to, size, state)
+		writePartialHeader(w, from, to, size, state)
 		if err := e.writeBody(w, body[from:to+1]); err != nil {
 			w.Flush()
 			return
@@ -298,41 +317,128 @@ func (e *EdgeServer) serve(conn net.Conn) {
 	}
 }
 
-// chunkBody returns (index, level)'s full body via the shared store,
-// filling from origin on a miss (singleflight-collapsed across every
-// concurrent request for the key, this edge's and its siblings' alike).
-func (e *EdgeServer) chunkBody(index, level int) ([]byte, bool, error) {
-	k := cache.Key{Video: e.name, Level: level, Chunk: index}
+// writeFillFailure answers a request whose origin pull failed. An
+// exhausted origin set is the edge's overload face: transient for the
+// client's supervisor, breaker fuel for a (future) multi-edge set.
+func writeFillFailure(w *bufio.Writer) {
+	fmt.Fprintf(w, "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\n\r\n")
+	w.Flush()
+}
+
+// writePartialHeader writes the 206 header for bytes [from, to] of a
+// size-byte chunk, with the cache hint the client scheduler reads.
+func writePartialHeader(w *bufio.Writer, from, to, size int64, state string) {
+	fmt.Fprintf(w, "HTTP/1.1 206 Partial Content\r\nContent-Length: %d\r\nContent-Range: bytes %d-%d/%d\r\nX-MPDash-Cache: %s\r\n\r\n", to-from+1, from, to, size, state)
+}
+
+// chunkBody returns k's full body via the shared store, filling from
+// origin on a miss (singleflight-collapsed across every concurrent
+// request for the key, this edge's and its siblings' alike).
+func (e *EdgeServer) chunkBody(k cache.Key) ([]byte, bool, error) {
 	return e.store.Fetch(k, func() ([]byte, error) {
-		return e.fillFromOrigin(index, level)
+		return e.fillFromOrigin(k.Chunk, k.Level)
 	})
 }
 
-// fillFromOrigin pulls one whole chunk through a pooled supervised
-// fetcher, charging the transferred bytes to the origin-byte ledger, and
-// reconstructs the verified deterministic body for the store.
-func (e *EdgeServer) fillFromOrigin(index, level int) ([]byte, error) {
-	var f *Fetcher
+// proxyRange serves bytes [from, to] of a chunk the store will never
+// admit. Only the range is pulled (and verified) from origin; the body
+// is then regenerated block by block into a pooled buffer and written
+// through the shaped downlink, so nothing proportional to the chunk is
+// allocated. The answer is always a miss: the range never touched the
+// store. A failed pull gets the fill-failure 503. The error is non-nil
+// only when the client connection is unusable.
+func (e *EdgeServer) proxyRange(w *bufio.Writer, index, level int, from, to, size int64) error {
+	if err := e.pullRange(index, level, from, to); err != nil {
+		e.noteFillError(index, level, err)
+		writeFillFailure(w)
+		return nil
+	}
+	writePartialHeader(w, from, to, size, "miss")
+	bp := AcquireSegBuf()
+	defer ReleaseSegBuf(bp)
+	buf := *bp
+	for off := from; off <= to; {
+		m := int64(len(buf))
+		if m > to-off+1 {
+			m = to - off + 1
+		}
+		for i := int64(0); i < m; i++ {
+			buf[i] = ChunkBody(index, level, off+i)
+		}
+		if err := e.writeBody(w, buf[:m]); err != nil {
+			w.Flush()
+			return err
+		}
+		off += m
+	}
+	return w.Flush()
+}
+
+// pullRange transfers and verifies bytes [from, to] of (index, level)
+// from origin through a pooled fill fetcher's primary path, or its
+// secondary when the primary is down or gives up on the range, under
+// the same breaker/failover/retry supervision as a whole-chunk fill.
+// Every byte the origin sent is charged to the origin-byte ledger,
+// discarded attempts included.
+func (e *EdgeServer) pullRange(index, level int, from, to int64) error {
+	f, err := e.takeFetcher()
+	if err != nil {
+		return err
+	}
+	defer func() { e.pool <- f }()
+	pol := f.Retry.withDefaults()
+	err = ErrAllPathsDown
+	for _, pc := range [2]*pathConn{f.primary, f.secondary} {
+		if pc.isDown() {
+			continue
+		}
+		_, _, wasted0 := pc.counters()
+		var n int64
+		n, err = f.fetchSegSupervised(pc, pol, index, level, from, to)
+		_, _, wasted := pc.counters()
+		e.mu.Lock()
+		e.originBytes += n + wasted - wasted0
+		e.bypassBytes += n
+		e.mu.Unlock()
+		if err == nil {
+			return nil
+		}
+	}
+	return err
+}
+
+// takeFetcher checks a fill fetcher out of the pool; the caller returns
+// it with e.pool <- f.
+func (e *EdgeServer) takeFetcher() (*Fetcher, error) {
 	select {
-	case f = <-e.pool:
+	case f := <-e.pool:
+		return f, nil
 	case <-e.ctx.Done():
 		return nil, e.ctx.Err()
+	}
+}
+
+// fillFromOrigin pulls one whole chunk through a pooled supervised
+// fetcher, charging every transferred byte (discarded attempts
+// included) to the origin-byte ledger, and reconstructs the verified
+// deterministic body for the store.
+func (e *EdgeServer) fillFromOrigin(index, level int) ([]byte, error) {
+	f, err := e.takeFetcher()
+	if err != nil {
+		return nil, err
 	}
 	defer func() { e.pool <- f }()
 	res, err := f.FetchChunk(index, level, e.pol.FillWindow)
 	if res != nil {
 		e.mu.Lock()
-		e.originBytes += res.PrimaryBytes + res.SecondaryBytes
+		e.originBytes += res.PrimaryBytes + res.SecondaryBytes + res.WastedBytes
 		e.mu.Unlock()
 	}
 	if err == nil && !res.Verified {
 		err = errCorruptPayload
 	}
 	if err != nil {
-		e.mu.Lock()
-		e.fillErrs++
-		e.mu.Unlock()
-		e.emitFillError(index, level, err)
+		e.noteFillError(index, level, err)
 		return nil, err
 	}
 	body := make([]byte, res.Size)
@@ -367,8 +473,11 @@ func (e *EdgeServer) writeBody(w *bufio.Writer, body []byte) error {
 	return nil
 }
 
-// emitFillError journals one failed origin fill.
-func (e *EdgeServer) emitFillError(index, level int, err error) {
+// noteFillError counts and journals one failed origin pull.
+func (e *EdgeServer) noteFillError(index, level int, err error) {
+	e.mu.Lock()
+	e.fillErrs++
+	e.mu.Unlock()
 	e.connMu.Lock()
 	sink := e.sink
 	e.connMu.Unlock()
